@@ -1,13 +1,11 @@
-"""Kernel-provider microbenchmark: provider × hot-path op throughput.
+"""Dense-kernel microbenchmark: throughput of the three ``(k, P)`` hot-path ops.
 
-The pluggable backend (:mod:`repro.tensor.backend`) routes the three dense
-``(k, P)`` hot paths — the fused ``step_matrix`` synchronisation, the gradient
-gather, and the batched-evaluation forward — to a registered kernel provider.
-Providers are bit-identical by contract (``tests/test_backend.py`` pins the
-floats), so this benchmark measures the only thing they may change: speed.
-One row per ``provider × op`` with an ``ops_per_s`` throughput column feeds
-the CI regression gate, so a provider silently losing its edge (or the
-reference path regressing) fails the build like any other perf regression.
+The ops are the fused ``step_matrix`` synchronisation, the flat gradient
+gather (:meth:`~repro.nn.module.Module.gradient_vector`), and the batched-
+evaluation forward (:class:`~repro.serve.pool.BatchedEvaluator`'s stacked
+conv, ReLU and linear kernels).  One row per op with an ``ops_per_s``
+throughput column feeds the CI regression gate, so a slower kernel fails the
+build like any other perf regression.
 """
 
 from __future__ import annotations
@@ -17,8 +15,9 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.nn.module import Module, Parameter
 from repro.optim import SMA, SMAConfig
-from repro.tensor.backend import available_backends, get_backend
+from repro.serve.pool import _stacked_conv2d
 
 REPLICAS = 16
 PARAMETERS = 65536
@@ -46,28 +45,29 @@ def _time_op(op, iterations: int) -> float:
     return best
 
 
-def _step_matrix_op(provider: str):
+def _step_matrix_op():
     rng = np.random.default_rng(7)
     initial = rng.standard_normal(PARAMETERS).astype(np.float32)
     weights = np.tile(initial, (REPLICAS, 1))
     updates = (0.01 * rng.standard_normal((REPLICAS, PARAMETERS))).astype(np.float32)
-    sma = SMA(initial, REPLICAS, SMAConfig(momentum=0.9), backend=provider)
+    sma = SMA(initial, REPLICAS, SMAConfig(momentum=0.9))
     return lambda: sma.step_matrix(weights, updates)
 
 
-def _gather_op(provider: str):
-    backend = get_backend(provider)
+def _gather_op():
     rng = np.random.default_rng(8)
     sizes = [4096] * 15 + [PARAMETERS - 15 * 4096]
-    gradients = [rng.standard_normal(size).astype(np.float32) for size in sizes]
-    gradients[3] = None  # one parameter without a gradient: the zero-fill path
-    segments = list(zip(gradients, sizes))
+    model = Module()
+    for index, size in enumerate(sizes):
+        param = Parameter(np.zeros(size, dtype=np.float32))
+        # one parameter without a gradient: the zero-fill path
+        param.grad = None if index == 3 else rng.standard_normal(size).astype(np.float32)
+        setattr(model, f"p{index}", param)
     out = np.empty(PARAMETERS, dtype=np.float32)
-    return lambda: backend.gather(iter(segments), out)
+    return lambda: model.gradient_vector(out=out)
 
 
-def _fused_forward_op(provider: str):
-    backend = get_backend(provider)
+def _fused_forward_op():
     rng = np.random.default_rng(9)
     conv_weights = rng.standard_normal((REPLICAS, CONV_CHANNELS, CONV_FEATURES)).astype(
         np.float32
@@ -78,9 +78,8 @@ def _fused_forward_op(provider: str):
     bias = rng.standard_normal((REPLICAS, 1, LINEAR_OUT)).astype(np.float32)
 
     def op():
-        conv_out = backend.batched_conv2d(conv_weights, cols)
-        backend.relu(conv_out)
-        return backend.batched_linear(act, linear_weights, bias)
+        conv_out = _stacked_conv2d(conv_weights, cols)
+        return conv_out * (conv_out > 0), np.matmul(act, linear_weights) + bias
 
     return op
 
@@ -95,26 +94,24 @@ _OPS = {
 def _kernel_rows(iterations: int) -> List[Dict[str, object]]:
     rows: List[Dict[str, object]] = []
     for op_name, build in _OPS.items():
-        for provider in available_backends():
-            seconds = _time_op(build(provider), iterations)
-            rows.append(
-                {
-                    "op": op_name,
-                    "provider": provider,
-                    "k": REPLICAS,
-                    "ms_per_call": round(1e3 * seconds, 4),
-                    "ops_per_s": round(1.0 / seconds, 1),
-                }
-            )
+        seconds = _time_op(build(), iterations)
+        rows.append(
+            {
+                "op": op_name,
+                "k": REPLICAS,
+                "ms_per_call": round(1e3 * seconds, 4),
+                "ops_per_s": round(1.0 / seconds, 1),
+            }
+        )
     return rows
 
 
-def test_kernel_backend_throughput(report):
+def test_kernel_throughput(report):
     rows = _kernel_rows(ITERATIONS)
     report("kernel_backends", rows)
     # Sanity, not a perf gate (that is check_bench_regression's job): every
-    # registered provider produced a finite positive throughput on every op.
-    assert len(rows) == len(_OPS) * len(available_backends())
+    # op produced a finite positive throughput.
+    assert len(rows) == len(_OPS)
     for row in rows:
         assert row["ops_per_s"] > 0.0
 
@@ -127,8 +124,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     iterations = SMOKE_ITERATIONS if args.smoke else ITERATIONS
     rows = _kernel_rows(iterations)
     conftest.standalone_report("kernel_backends_smoke" if args.smoke else "kernel_backends", rows)
-    providers = ", ".join(available_backends())
-    print(f"ok: {len(rows)} provider×op rows measured ({providers})")
+    print(f"ok: {len(rows)} op rows measured")
     return 0
 
 

@@ -173,17 +173,17 @@ def _run_resize(persistent: bool) -> Dict[str, object]:
         executor.begin_epoch(0)
         # Warm up: spawn the pool and run a few steady-state iterations.
         for _ in range(3):
-            trainer._run_iteration_process()
+            trainer._iterate()
         grow_seconds: List[float] = []
         for _ in range(RESIZE_CYCLES):
             started = time.perf_counter()
             trainer._grow_learners()
             # The respawn path pays its forks lazily on the next iteration,
             # so the first post-resize iteration is part of the resize cost.
-            trainer._run_iteration_process()
+            trainer._iterate()
             grow_seconds.append(time.perf_counter() - started)
             trainer._shrink_learners()  # restore; not measured
-            trainer._run_iteration_process()
+            trainer._iterate()
         return {
             "median_grow_ms": float(np.median(grow_seconds) * 1e3),
             "max_grow_ms": float(np.max(grow_seconds) * 1e3),

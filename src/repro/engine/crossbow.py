@@ -18,7 +18,7 @@ import contextlib
 import math
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -42,7 +42,6 @@ from repro.serve.checkpoint import Checkpoint, CheckpointStore
 from repro.optim.easgd import EASGD, EASGDConfig
 from repro.optim.schedules import hyperparameters_for_model, schedule_for_model
 from repro.optim.sma import SMA, SMAConfig
-from repro.tensor.backend import get_backend
 from repro.gpusim import Tracer, cost_profile_for_model, titan_x_server
 from repro.telemetry.recorder import get_recorder
 from repro.utils.logging import get_logger
@@ -53,19 +52,94 @@ logger = get_logger("engine.crossbow")
 
 @dataclass
 class _PendingIteration:
-    """One collected-but-unapplied pipelined iteration (``pipeline_depth=1``).
+    """One iteration whose gradients are collected but not yet applied.
 
-    The workers have already written this iteration's raw gradients into
-    update buffer ``update_index``; the parent applies the fused
-    synchronisation step lazily — overlapped with the *next* iteration's
-    gradient computation — or at a flush barrier (epoch end, resize,
-    evaluation, close).
+    The raw gradients sit in update buffer ``update_index``.  At
+    ``pipeline_depth=0`` the fused synchronisation step is applied at once;
+    at depth 1 it is applied while the *next* iteration's gradients are
+    computed, or at a flush barrier (epoch end, resize, evaluation, close).
     """
 
-    losses: np.ndarray
     replicas: List["ModelReplica"]
     update_index: int
     staleness: int
+
+
+class _LearnerGradients:
+    """Gradient source: the in-process learners over one global batch pipeline.
+
+    Iteration ``i`` hands batch ``i·k + j`` of the epoch to learner ``j``.
+    Serial mode runs at depth 0, so nothing is pending when an iteration
+    starts and ``overlap`` has no work to hide.
+    """
+
+    def __init__(self, pipeline: BatchPipeline) -> None:
+        self._pipeline = pipeline
+        self._batches: Iterator[Batch] = iter(())
+        self._remaining = 0
+
+    def begin_epoch(self, epoch: int) -> None:
+        self._batches = self._pipeline.epoch_batches(epoch)
+        self._remaining = self._pipeline.batches_per_epoch
+
+    def batches_remaining(self) -> int:
+        return self._remaining
+
+    def compute(
+        self,
+        learners: Sequence[Learner],
+        updates: np.ndarray,
+        weights_index: int,
+        updates_index: int,
+        overlap: Callable[[], None],
+    ) -> np.ndarray:
+        """Write learner ``j``'s gradient into ``updates[j]``; returns ``(k,)`` losses."""
+        losses = np.empty(len(learners), dtype=np.float64)
+        for index, learner in enumerate(learners):
+            _, losses[index] = learner.compute_gradient(next(self._batches), out=updates[index])
+        self._remaining -= len(learners)
+        return losses
+
+    def end_epoch(self) -> None:
+        # Pull the leftover (< k) batches: each advances the augmentation
+        # stream, and the generator's epoch bookkeeping runs on exhaustion.
+        for _ in self._batches:
+            pass
+
+
+class _WorkerGradients:
+    """Gradient source: the forked worker pool, each worker streaming its shard.
+
+    Workers read weight buffer ``weights_index`` and write raw gradients into
+    update buffer ``updates_index``; ``overlap`` runs in the parent while
+    they compute.
+    """
+
+    def __init__(self, executor: ProcessExecutor) -> None:
+        self._executor = executor
+
+    def begin_epoch(self, epoch: int) -> None:
+        self._executor.begin_epoch(epoch)
+
+    def batches_remaining(self) -> int:
+        return self._executor.batches_remaining()
+
+    def compute(
+        self,
+        learners: Sequence[Learner],
+        updates: np.ndarray,
+        weights_index: int,
+        updates_index: int,
+        overlap: Callable[[], None],
+    ) -> np.ndarray:
+        losses = self._executor.run_iteration(learners, weights_index, updates_index, overlap)
+        for learner, loss in zip(learners, losses):
+            learner.batches_processed += 1
+            learner.last_loss = float(loss)
+        return losses
+
+    def end_epoch(self) -> None:
+        pass
 
 
 class CrossbowTrainer:
@@ -113,9 +187,6 @@ class CrossbowTrainer:
 
             config = resolve_auto_execution(config)
         self.config = config
-        #: kernel provider for the dense (k, P) hot paths (fused step_matrix,
-        #: gradient gather); all registered providers are bit-identical.
-        self.backend = get_backend(config.kernel_backend)
         self.rng = RandomState(config.seed, name="crossbow")
 
         # Data substrate -------------------------------------------------------------
@@ -203,6 +274,7 @@ class CrossbowTrainer:
                 self._shared_segments.extend([update_b, shadow])
                 self._update_matrix_b = update_b.array
                 self._shadow_matrix = shadow.array
+            rng = self.rng  # not self: the executor must not keep the trainer alive
             shard_pipeline = ShardedBatchPipeline(
                 self.dataset,
                 batch_size=config.batch_size,
@@ -211,7 +283,7 @@ class CrossbowTrainer:
                 augmentation_factory=(
                     (
                         lambda j, generation: AugmentationPipeline.cifar_default(
-                            self.rng.child(f"augmentation-shard{j}-gen{generation}")
+                            rng.child(f"augmentation-shard{j}-gen{generation}")
                         )
                     )
                     if config.use_augmentation
@@ -220,9 +292,13 @@ class CrossbowTrainer:
             )
             self._executor = ProcessExecutor(shard_pipeline, persistent=config.persistent_pool)
             self._bind_executor_buffers()
+            self._gradients: Union[_LearnerGradients, _WorkerGradients] = _WorkerGradients(
+                self._executor
+            )
         else:
             self.replica_bank = ReplicaBank(num_parameters, capacity=max_learners)
             self._update_matrix = np.zeros((max_learners, num_parameters), dtype=np.float32)
+            self._gradients = _LearnerGradients(self.pipeline)
         self.replica_pool = ReplicaPool(bank=self.replica_bank)
         # Scratch for the weight-decay term, allocated lazily on first use so
         # the hot path stays allocation-free without taxing decay-free runs.
@@ -272,7 +348,6 @@ class CrossbowTrainer:
                     elasticity=self.config.sma_alpha,
                     communication_period=self.config.synchronisation_period,
                 ),
-                backend=self.backend,
             )
         # "none" still uses the SMA container for the central model but with α=0,
         # so replicas never receive corrections (used by the τ=∞ ablation).
@@ -284,7 +359,7 @@ class CrossbowTrainer:
             alpha=alpha,
             synchronisation_period=self.config.synchronisation_period,
         )
-        return SMA(center, num_replicas, config, backend=self.backend)
+        return SMA(center, num_replicas, config)
 
     def _add_learner_on_gpu(self, gpu_id: int, model: Module) -> Learner:
         gpu = self.server.gpu(gpu_id)
@@ -292,7 +367,6 @@ class CrossbowTrainer:
         replica = self.replica_pool.add(model, gpu_id, stream.stream_id)
         self.scheduler.register_replica(replica)
         learner = Learner(len(self.learners), replica)
-        learner.backend = self.backend
         self.learners.append(learner)
         return learner
 
@@ -416,97 +490,67 @@ class CrossbowTrainer:
         )
 
     def _train_epoch(self, epoch: int) -> float:
-        """One pass over the training data; returns the mean training loss."""
-        if self._executor is not None:
-            if self.config.pipeline_depth == 1:
-                return self._train_epoch_pipelined(epoch)
-            return self._train_epoch_process(epoch)
-        losses: List[float] = []
-        batch_iter = self.pipeline.epoch_batches(epoch)
-        pending: List[Batch] = []
-        exhausted = False
-        while not exhausted:
-            # Collect one batch per learner for this SMA iteration.
-            pending.clear()
-            for _ in range(len(self.learners)):
-                try:
-                    pending.append(next(batch_iter))
-                except StopIteration:
-                    exhausted = True
-                    break
-            if len(pending) < len(self.learners):
-                break
-            losses.append(self._run_iteration(pending))
-            self._maybe_autotune()
-        return float(np.mean(losses)) if losses else float("nan")
+        """One pass over the training data; returns the mean training loss.
 
-    def _train_epoch_process(self, epoch: int) -> float:
-        """One epoch under ``execution="process"``: workers stream their shards.
-
-        Mirrors the serial loop exactly — one iteration consumes ``k`` global
-        batches and the epoch ends when fewer than ``k`` remain — but the
-        batches are materialised inside the worker processes from the epoch
-        permutation broadcast at :meth:`ProcessExecutor.begin_epoch`.
+        One iteration consumes ``k`` global batches and the epoch ends when
+        fewer than ``k`` remain, whichever source computes the gradients.
+        The epoch end flushes any pending update, so every quiescent boundary
+        (evaluation, checkpoint, resize, close) sees the bank as the single
+        source of truth.
         """
-        executor = self._executor
-        assert executor is not None
         losses: List[float] = []
-        executor.begin_epoch(epoch)
-        while executor.batches_remaining() >= len(self.learners):
-            losses.append(self._run_iteration_process())
-            self._maybe_autotune()
-        return float(np.mean(losses)) if losses else float("nan")
-
-    def _train_epoch_pipelined(self, epoch: int) -> float:
-        """One epoch under ``pipeline_depth=1``: sync overlaps the next gradients.
-
-        The software pipeline per iteration ``t`` (steady state):
-
-        1. *Issue* step ``t`` — workers read the published weight buffer
-           (which still holds the weights of iteration ``t-1``: staleness 1)
-           and write raw gradients into the update buffer that is *not* being
-           consumed by the parent.
-        2. *Apply* the pending iteration ``t-1`` — the parent runs the fused
-           ``step_matrix`` **into the back buffer** while the workers compute,
-           then publishes it with a buffer flip.
-        3. *Collect* step ``t``'s losses; it becomes the new pending
-           iteration.
-
-        The first iteration after an epoch start (or a resize) has no pending
-        update, so its gradients are computed on fresh weights; the epoch end
-        flushes the last pending update and copies the published buffer back
-        into the bank, so every quiescent boundary (evaluation, checkpoint,
-        resize, close) observes the bank as the single source of truth —
-        exactly like depth 0.
-        """
-        executor = self._executor
-        assert executor is not None
-        losses_out: List[float] = []
-        executor.begin_epoch(epoch)
-        while executor.batches_remaining() >= len(self.learners):
-            update_index = self._next_update_index
-            staleness = 1 if self._pending is not None else 0
-            executor.issue_step(self.learners, self._published_index, update_index)
-            self._next_update_index = 1 - update_index
-            if self._pending is not None:
-                # The serial section of iteration t-1, hidden behind the
-                # workers' gradient computation of iteration t.
-                self._apply_pending(overlapped=True)
-            losses = executor.collect_step()
-            for index, learner in enumerate(self.learners):
-                learner.replica.iterations_processed += 1
-                learner.batches_processed += 1
-                learner.last_loss = float(losses[index])
-            self._pending = _PendingIteration(
-                losses=losses,
-                replicas=[learner.replica for learner in self.learners],
-                update_index=update_index,
-                staleness=staleness,
-            )
-            losses_out.append(float(np.mean(losses)))
+        self._gradients.begin_epoch(epoch)
+        while self._gradients.batches_remaining() >= len(self.learners):
+            losses.append(self._iterate())
             self._maybe_autotune()
         self._flush_pipeline()
-        return float(np.mean(losses_out)) if losses_out else float("nan")
+        self._gradients.end_epoch()
+        return float(np.mean(losses)) if losses else float("nan")
+
+    def _iterate(self) -> float:
+        """One SMA iteration (Algorithm 1); returns the mean of its ``k`` losses.
+
+        The ``k`` gradients land in the ``(k, P)`` update buffer; the fused
+        update then applies local updates, corrections and the central-model
+        move to the bank, whose rows *are* the replica weights.
+
+        At ``pipeline_depth=0`` the update is applied as soon as the gradients
+        are collected.  At depth 1 it stays pending and the software pipeline
+        runs per iteration ``t``:
+
+        1. *Issue* step ``t``: workers read the published weight buffer
+           (still iteration ``t-1``'s weights: staleness 1) and write into the
+           update buffer the parent is *not* consuming.
+        2. *Apply* pending iteration ``t-1`` into the back buffer while the
+           workers compute, then publish it with a buffer flip.
+        3. *Collect* step ``t``; it becomes the pending iteration.
+
+        The first iteration after an epoch start or a resize has nothing
+        pending, so its gradients are computed on fresh weights.
+        """
+        k = len(self.learners)
+        self._grow_update_buffers(k)
+        update_index = self._next_update_index
+        staleness = 0 if self._pending is None else 1
+        losses = self._gradients.compute(
+            self.learners,
+            self._update_buffer(update_index)[:k],
+            self._published_index,
+            update_index,
+            self._apply_pending,
+        )
+        for learner in self.learners:
+            learner.replica.iterations_processed += 1
+        self._pending = _PendingIteration(
+            replicas=[learner.replica for learner in self.learners],
+            update_index=update_index,
+            staleness=staleness,
+        )
+        if self.config.pipeline_depth == 0:
+            self._apply_pending(overlapped=False)
+        else:
+            self._next_update_index = 1 - update_index
+        return float(np.mean(losses))
 
     def _weight_buffer(self, index: int) -> np.ndarray:
         """Full-capacity weight buffer ``index`` (0 = the bank, 1 = the shadow)."""
@@ -522,28 +566,25 @@ class CrossbowTrainer:
         assert self._update_matrix_b is not None
         return self._update_matrix_b
 
-    def _apply_pending(self, overlapped: bool) -> None:
-        """Apply the pending pipelined iteration's fused update and flip buffers."""
+    def _apply_pending(self, overlapped: bool = True) -> None:
+        """Apply the pending iteration's fused update.
+
+        Depth 0 steps the published weights in place.  Depth 1 writes the
+        back buffer and flips the published index to it.
+        """
         pending = self._pending
         if pending is None:
             return
         self._pending = None
         k = len(pending.replicas)
         front = self._weight_buffer(self._published_index)[:k]
+        updates = self._update_buffer(pending.update_index)[:k]
+        if self.config.pipeline_depth == 0:
+            self._finish_iteration(front, updates, pending)
+            return
         back_index = 1 - self._published_index
         out = self._weight_buffer(back_index)[:k]
-        updates = self._update_buffer(pending.update_index)[:k]
-        synchronise = self.synchroniser.should_synchronise()
-        self._finish_iteration(
-            front,
-            updates,
-            pending.losses,
-            pending.replicas,
-            synchronise,
-            out=out,
-            overlapped=overlapped,
-            staleness=pending.staleness,
-        )
+        self._finish_iteration(front, updates, pending, out=out, overlapped=overlapped)
         # Publish: the back buffer now holds the newest weights; the next
         # issued step addresses it and the old front becomes scratch.
         self._published_index = back_index
@@ -553,9 +594,9 @@ class CrossbowTrainer:
 
         After this, the replica bank again holds the canonical weights (row
         ``j`` *is* learner ``j``'s replica) and no step is in flight — the
-        quiescent state every consumer outside the pipelined loop assumes
+        quiescent state every consumer outside the training loop assumes
         (evaluation, checkpointing, auto-tuner resizes, tests inspecting
-        ``replica_bank.active_matrix()``).  No-op outside pipelined epochs.
+        ``replica_bank.active_matrix()``).  No-op at depth 0.
         """
         if self._pending is not None:
             # Epoch-boundary (or barrier) application: nothing overlaps it.
@@ -578,77 +619,29 @@ class CrossbowTrainer:
             updates.append(self._update_matrix_b)
         self._executor.bind_buffers(self.replica_bank, extra, updates)
 
-    def _run_iteration(self, batches: List[Batch]) -> float:
-        """Execute one SMA iteration: k learning tasks + synchronisation tasks."""
-        synchronise = self.synchroniser.should_synchronise()
-        replicas = [learner.replica for learner in self.learners]
-        k = len(self.learners)
-        if len(batches) != k:
-            # The fused update spans all k bank rows, so a short batch list
-            # would silently re-apply stale gradient rows to the tail replicas.
-            raise ConfigurationError(
-                f"iteration needs one batch per learner: got {len(batches)} batches "
-                f"for {k} learners"
-            )
-
-        # Numeric part: gather every learner's gradient into one (k, P) matrix,
-        # then apply local updates, corrections and the central-model move as
-        # fused matrix ops on the replica bank — no per-learner flatten or
-        # unflatten round trips (the bank rows *are* the replica weights).
-        weights = self.replica_bank.active_matrix()
-        updates = self._update_rows(k)
-        losses = np.empty(k, dtype=np.float64)
-        for index, (learner, batch) in enumerate(zip(self.learners, batches)):
-            _, loss = learner.compute_gradient(batch, out=updates[index])
-            losses[index] = loss
-            learner.replica.iterations_processed += 1
-        return self._finish_iteration(weights, updates, losses, replicas, synchronise)
-
-    def _run_iteration_process(self) -> float:
-        """One SMA iteration with the gradients computed by the worker pool.
-
-        The workers write raw gradients into the shared ``(k, P)`` update
-        matrix; everything after that — learning-rate scaling, weight decay,
-        the fused synchronisation step and the simulated task schedule — is
-        identical to the serial path and runs in the parent, while the
-        workers prefetch their next shard batch.
-        """
-        assert self._executor is not None
-        synchronise = self.synchroniser.should_synchronise()
-        replicas = [learner.replica for learner in self.learners]
-        k = len(self.learners)
-        weights = self.replica_bank.active_matrix()
-        updates = self._update_rows(k)
-        losses = self._executor.run_iteration(self.learners)
-        for index, learner in enumerate(self.learners):
-            learner.replica.iterations_processed += 1
-            learner.batches_processed += 1
-            learner.last_loss = float(losses[index])
-        return self._finish_iteration(weights, updates, losses, replicas, synchronise)
-
     def _finish_iteration(
         self,
         weights: np.ndarray,
         updates: np.ndarray,
-        losses: np.ndarray,
-        replicas: List[ModelReplica],
-        synchronise: bool,
+        pending: _PendingIteration,
         out: Optional[np.ndarray] = None,
         overlapped: bool = False,
-        staleness: int = 0,
-    ) -> float:
+    ) -> None:
         """Apply the fused update to the bank and schedule the simulated tasks.
 
-        With ``out`` (pipelined mode) the new weights land in the back buffer
+        With ``out`` (depth 1) the new weights land in the back buffer
         instead of mutating ``weights`` — the deferred publish of the
         flip protocol.  The weight-decay term always uses ``weights`` (the
         newest published weights), not the stale view the gradients were
-        computed on.  ``overlapped``/``staleness`` feed the sync counters.
+        computed on.  ``overlapped`` and the staleness feed the sync counters.
         """
+        synchronise = self.synchroniser.should_synchronise()
+        replicas = pending.replicas
+        staleness = pending.staleness
         started = time.perf_counter()
         # Sanitized windows for the whole fused-update section: the update
         # rows are scaled in place (a write), the published weights are read
-        # (pipelined) or stepped in place (depth 0), and the back buffer is
+        # (depth 1) or stepped in place (depth 0), and the back buffer is
         # written.  Unregistered (serial-path) arrays resolve to no-op guards.
         rows = range(len(replicas))
         with contextlib.ExitStack() as guards:
@@ -658,7 +651,7 @@ class CrossbowTrainer:
             else:
                 guards.enter_context(guard_for(weights).read_rows(rows))
                 guards.enter_context(guard_for(out).write_rows(rows))
-            self.backend.scale_rows(updates, self._last_lr)
+            np.multiply(updates, self._last_lr, out=updates)
             if self.weight_decay:
                 decay = self._decay_rows(len(replicas))
                 np.multiply(weights, self._last_lr * self.weight_decay, out=decay)
@@ -681,36 +674,35 @@ class CrossbowTrainer:
         )
         self.task_manager.handle_completion(timing, num_learning_tasks=len(replicas))
         self._iteration += 1
-        return float(np.mean(losses))
 
-    def _update_rows(self, k: int) -> np.ndarray:
-        """The first ``k`` rows of the persistent (k, P) update scratch matrix.
+    def _grow_update_buffers(self, k: int) -> None:
+        """Make the persistent update buffers hold at least ``k`` rows.
 
-        Growth past the pre-allocated row count re-allocates the matrix; in
-        process mode the replacement is another shared-memory segment and the
-        worker pool is invalidated so it respawns against the new rows.
+        Growth past the pre-allocated row count re-allocates them; in process
+        mode the replacements are new shared-memory segments and the worker
+        pool is invalidated so it respawns against the new rows.
         """
-        if k > self._update_matrix.shape[0]:
-            cols = self._update_matrix.shape[1]
-            if self._executor is not None:
-                # Old segments stay alive (and in self._shared_segments) until
-                # close(): running workers may still map them mid-invalidate.
-                update = SharedMatrix(k, cols)
-                self._shared_segments.append(update)
-                self._update_matrix = update.array
-                if self._update_matrix_b is not None:
-                    update_b = SharedMatrix(k, cols)
-                    self._shared_segments.append(update_b)
-                    self._update_matrix_b = update_b.array
-                if self._shadow_matrix is not None:
-                    shadow = SharedMatrix(k, cols)
-                    self._shared_segments.append(shadow)
-                    self._shadow_matrix = shadow.array
-                # Re-binding different buffer objects invalidates the pool.
-                self._bind_executor_buffers()
-            else:
-                self._update_matrix = np.zeros((k, cols), dtype=np.float32)
-        return self._update_matrix[:k]
+        if k <= self._update_matrix.shape[0]:
+            return
+        cols = self._update_matrix.shape[1]
+        if self._executor is None:
+            self._update_matrix = np.zeros((k, cols), dtype=np.float32)
+            return
+        # Old segments stay alive (and in self._shared_segments) until
+        # close(): running workers may still map them mid-invalidate.
+        update = SharedMatrix(k, cols)
+        self._shared_segments.append(update)
+        self._update_matrix = update.array
+        if self._update_matrix_b is not None:
+            update_b = SharedMatrix(k, cols)
+            self._shared_segments.append(update_b)
+            self._update_matrix_b = update_b.array
+        if self._shadow_matrix is not None:
+            shadow = SharedMatrix(k, cols)
+            self._shared_segments.append(shadow)
+            self._shadow_matrix = shadow.array
+        # Re-binding different buffer objects invalidates the pool.
+        self._bind_executor_buffers()
 
     def _decay_rows(self, k: int) -> np.ndarray:
         """The first ``k`` rows of the persistent weight-decay scratch matrix."""

@@ -52,7 +52,7 @@ import traceback
 import weakref
 from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -645,12 +645,12 @@ class ProcessExecutor:
 
     Two features distinguish it from the PR-2 executor:
 
-    * **Split step protocol** — :meth:`issue_step` / :meth:`collect_step` let
-      the trainer overlap the fused synchronisation of iteration ``t`` with
-      the workers' gradient computation of iteration ``t+1`` (pipelined
-      execution, ``pipeline_depth=1``), addressing the published weight
-      buffer and the gradient buffer per step.  :meth:`run_iteration` remains
-      the fused issue+collect used by ``pipeline_depth=0``.
+    * **Split step protocol** — :meth:`run_iteration` issues a step, runs
+      the caller's ``overlap`` callback, then collects, so the trainer can
+      overlap the fused synchronisation of iteration ``t`` with the workers'
+      gradient computation of iteration ``t+1`` (pipelined execution,
+      ``pipeline_depth=1``), addressing the published weight buffer and the
+      gradient buffer per step.
     * **Persistent resize** — :meth:`resize` re-shards the live pool in place
       (see :meth:`WorkerPool.resize`) instead of stopping and respawning
       every fork, unless persistence is disabled, augmentation state would
@@ -735,14 +735,22 @@ class ProcessExecutor:
         return self.pipeline.batches_per_epoch - self._consumed
 
     # -- iteration protocol --------------------------------------------------------------
-    def run_iteration(self, learners: Sequence[Learner]) -> np.ndarray:
+    def run_iteration(
+        self,
+        learners: Sequence[Learner],
+        weights_index: int = 0,
+        updates_index: int = 0,
+        overlap: Optional[Callable[[], None]] = None,
+    ) -> np.ndarray:
         """Compute one gradient per learner in parallel; returns ``(k,)`` losses.
 
-        The synchronous protocol of ``pipeline_depth=0``: equivalent to
-        :meth:`issue_step` immediately followed by :meth:`collect_step`,
-        always addressing weight buffer 0 (the bank) and update buffer 0.
+        :meth:`issue_step` then :meth:`collect_step`, with ``overlap`` run in
+        the parent between the two while the workers compute (the pipelined
+        schedule applies the previous iteration's update there).
         """
-        self.issue_step(learners)
+        self.issue_step(learners, weights_index, updates_index)
+        if overlap is not None:
+            overlap()
         return self.collect_step()
 
     def issue_step(

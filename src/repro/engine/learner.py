@@ -29,10 +29,6 @@ class Learner:
         self.loss_fn = CrossEntropyLoss()
         self.batches_processed = 0
         self.last_loss: Optional[float] = None
-        #: kernel provider for the flat gradient gather; ``None`` keeps the
-        #: reference copy loop.  Set by the trainer from its configured
-        #: :class:`~repro.tensor.backend.KernelBackend`.
-        self.backend = None
 
     @property
     def gpu_id(self) -> int:
@@ -58,7 +54,7 @@ class Learner:
         logits = model(Tensor(batch.images))
         loss = self.loss_fn(logits, batch.labels)
         loss.backward()
-        gradient = model.gradient_vector(out=out, backend=self.backend)
+        gradient = model.gradient_vector(out=out)
         self.batches_processed += 1
         self.last_loss = float(loss.data)
         return gradient, self.last_loss

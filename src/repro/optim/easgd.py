@@ -15,13 +15,12 @@ The update rule per synchronisation round, with elasticity ``ρ``:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.optim.sma import validate_step_matrix
-from repro.tensor.backend import KernelBackend, resolve_backend
 
 
 @dataclass
@@ -59,11 +58,9 @@ class EASGD:
         initial_model: np.ndarray,
         num_replicas: int,
         config: Optional[EASGDConfig] = None,
-        backend: Union[KernelBackend, str, None] = None,
     ) -> None:
         if num_replicas < 1:
             raise ConfigurationError("EA-SGD needs at least one replica")
-        self.backend = resolve_backend(backend)
         self.config = config if config is not None else EASGDConfig()
         self.num_replicas = num_replicas
         self.elasticity = (
@@ -136,11 +133,12 @@ class EASGD:
             self.iteration += 1
             self.version += 1
             return self.center
-        corrections = self.backend.correction_matrix(weights, self.center, self.elasticity)
-        self.center = self.center + self.backend.column_sum(corrections)
+        corrections = self.elasticity * (weights - self.center)
+        # This association order is part of the serial/process bit-identity contract.
+        self.center = self.center + corrections.sum(axis=0)
         if updates is not None:
-            self.backend.combine_updates(corrections, updates)
-        self.backend.apply_step(weights, corrections, out)
+            np.add(corrections, updates, out=corrections)
+        np.subtract(weights, corrections, out=out)
         self.iteration += 1
         self.version += 1
         return self.center

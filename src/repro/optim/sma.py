@@ -20,12 +20,11 @@ It also supports the two refinements described in §3.2/§3.3 of the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.tensor.backend import KernelBackend, resolve_backend
 
 
 def validate_step_matrix(
@@ -109,11 +108,6 @@ class SMA:
         The number of learners ``k`` whose corrections are consolidated.
     config:
         Algorithm hyper-parameters (momentum µ, correction weight α, period τ).
-    backend:
-        Kernel provider (name or :class:`~repro.tensor.backend.KernelBackend`)
-        for the fused ``(k, P)`` arithmetic of :meth:`step_matrix`; defaults
-        to the numpy reference.  Every registered provider is bit-identical,
-        so this only changes speed, never the trajectory.
     """
 
     def __init__(
@@ -121,11 +115,9 @@ class SMA:
         initial_model: np.ndarray,
         num_replicas: int,
         config: Optional[SMAConfig] = None,
-        backend: Union[KernelBackend, str, None] = None,
     ) -> None:
         if num_replicas < 1:
             raise ConfigurationError("SMA needs at least one replica")
-        self.backend = resolve_backend(backend)
         self.config = config if config is not None else SMAConfig()
         self.num_replicas = num_replicas
         self.alpha = self.config.alpha if self.config.alpha is not None else 1.0 / num_replicas
@@ -263,16 +255,17 @@ class SMA:
             self.iteration += 1
             self.version += 1
             return self.center
-        corrections = self.backend.correction_matrix(weights, self.center, self.alpha)
+        corrections = self.alpha * (weights - self.center)
         previous = self.center.copy()
-        total_correction = self.backend.column_sum(corrections)
+        # This association order is part of the serial/process bit-identity contract.
+        total_correction = corrections.sum(axis=0)
         momentum_term = self.config.momentum * (self.center - self._previous_center)
         self.center = self.center + total_correction + momentum_term
         self._previous_center = previous
         if updates is not None:
             # w ← w − (u + c), matching the trainer's historical association.
-            self.backend.combine_updates(corrections, updates)
-        self.backend.apply_step(weights, corrections, out)
+            np.add(corrections, updates, out=corrections)
+        np.subtract(weights, corrections, out=out)
         self.iteration += 1
         self.version += 1
         return self.center

@@ -26,11 +26,9 @@ both direct applications of the paper's many-replicas-one-bank design:
   im2col ``(k, of, f)`` stacks multiplying a shared column buffer, and
   batch-norm running statistics ride along as per-checkpoint ``(k, C)``
   buffer stacks — so MLPs *and* the VGG/ResNet conv families all evaluate
-  fused.  The kernels come from a pluggable provider
-  (:mod:`repro.tensor.backend`); all providers are bit-identical.  One pass
-  over the data amortises the per-batch Python/framework overhead across the
-  ``k`` versions, exactly as the fused synchronisation amortises it across
-  replicas.
+  fused.  One pass over the data amortises the per-batch Python/framework
+  overhead across the ``k`` versions, exactly as the fused synchronisation
+  amortises it across replicas.
 
 Both pieces reuse the multi-process executor's machinery
 (:class:`~repro.engine.executor.ForkedWorkerPool`,
@@ -44,7 +42,7 @@ import queue as queue_module
 import time
 import traceback
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Protocol, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -71,7 +69,6 @@ from repro.nn.metrics import evaluate_top1
 from repro.nn.module import Module, Sequential
 from repro.serve.checkpoint import Checkpoint
 from repro.telemetry.recorder import get_recorder
-from repro.tensor.backend import KernelBackend, resolve_backend
 from repro.tensor.functional import _im2col
 from repro.utils.logging import get_logger
 
@@ -651,6 +648,21 @@ class _PlanCompiler:
         plan.append(("relu",))  # relu2/relu3 applies after the residual add
 
 
+def _stacked_conv2d(weight_stack: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Convolve im2col columns by a ``(k, of, f)`` weight stack: ``(k, n, of, p)``.
+
+    ``cols`` is shared ``(n, f, p)`` (every model convolves the same
+    activations) or per-model ``(k, n, f, p)``.  One einsum over the leading
+    ``k`` axis applies the sequential layer's per-model multiply-accumulate,
+    so each slice equals ``np.einsum("of,nfp->nop", ...)`` bit for bit.
+    """
+    if cols.ndim == 3:
+        result: np.ndarray = np.einsum("kof,nfp->knop", weight_stack, cols, optimize=True)
+    else:
+        result = np.einsum("kof,knfp->knop", weight_stack, cols, optimize=True)
+    return result
+
+
 class BatchedEvaluator:
     """Evaluate ``k`` checkpoint versions in one fused forward pass.
 
@@ -662,8 +674,7 @@ class BatchedEvaluator:
     layer's weights as a column slice of the bank — ``(k, in, out)`` stacks
     for ``Linear``, im2col ``(k, of, f)`` stacks for ``Conv2d``, ``(k, C)``
     gamma/beta/running-stat stacks for batch norm — and runs the shared test
-    activations through all models at once via the configured
-    :class:`~repro.tensor.backend.KernelBackend`.  Convolutions share one
+    activations through all models at once.  Convolutions share one
     im2col column buffer across the ``k`` models per batch (columns depend on
     activations, not weights), which is where the fused conv path saves its
     work.  One traversal of the test set yields ``k`` evaluations.
@@ -690,10 +701,6 @@ class BatchedEvaluator:
         Source of held-out evaluation batches.
     batch_size : int
         Evaluation batch size, matching inline ``evaluate()``'s default.
-    backend : KernelBackend or str, optional
-        Kernel provider for the fused forward (``repro.tensor.backend``);
-        defaults to the numpy reference.  Providers are bit-identical, so
-        this only changes speed.
     """
 
     def __init__(
@@ -701,12 +708,10 @@ class BatchedEvaluator:
         model_template: Module,
         pipeline: Any,
         batch_size: int = 256,
-        backend: Union[KernelBackend, str, None] = None,
     ) -> None:
         self._template = model_template.clone()
         self._pipeline = pipeline
         self.batch_size = batch_size
-        self.backend = resolve_backend(backend)
         self.num_parameters = self._template.num_parameters()
         self._plan, self._buffer_keys = self._compile(self._template)
         self._bank: Optional[ReplicaBank] = None
@@ -858,7 +863,6 @@ class BatchedEvaluator:
         batched: bool,
         buffers: Dict[str, np.ndarray],
     ) -> Tuple[np.ndarray, bool]:
-        backend = self.backend
         for op in ops:
             kind = op[0]
             if kind == "flatten":
@@ -870,20 +874,28 @@ class BatchedEvaluator:
                     act = act.reshape(act.shape[0], -1)
             elif kind == "linear":
                 _, weights, bias = op
-                # Same multiply-accumulate as F.linear's ``x @ W.T`` per model.
-                act = backend.batched_linear(act, weights, bias)
+                # np.matmul over the stack applies F.linear's ``x @ W.T``
+                # multiply-accumulate per model slice.
+                act = np.matmul(act, weights)
+                if bias is not None:
+                    act = act + bias
                 batched = True
             elif kind == "relu":
                 # Mirrors F.relu's ``a * (a > 0)`` exactly (not np.maximum).
-                act = backend.relu(act)
+                act = act * (act > 0)
             elif kind == "conv":
                 act = self._fused_conv(op, act, k, batched)
                 batched = True
             elif kind == "bn":
                 _, norm, gamma, beta = op
-                act = backend.batched_batchnorm(
-                    act, gamma, beta, buffers[norm.mean_key], buffers[norm.var_key], norm.eps
-                )
+                # F.batch_norm's inference chain with (k, C) statistic stacks
+                # broadcast from (k, 1, C[, 1, 1]).
+                channels = norm.num_features
+                spatial = act.ndim >= 4  # (n, C, H, W) or (k, n, C, H, W)
+                shape = (-1, 1, channels, 1, 1) if spatial else (-1, 1, channels)
+                inv_std = 1.0 / np.sqrt(buffers[norm.var_key].reshape(shape) + norm.eps)
+                x_hat = (act - buffers[norm.mean_key].reshape(shape)) * inv_std
+                act = gamma.reshape(shape) * x_hat + beta.reshape(shape)
                 batched = True
             elif kind == "pool":
                 act = self._fused_pool(op[1], act, k, batched)
@@ -920,7 +932,7 @@ class BatchedEvaluator:
             cols, out_h, out_w = _im2col(
                 act, spec.kernel_size, spec.kernel_size, spec.stride, spec.padding
             )
-        out = self.backend.batched_conv2d(weights, cols)
+        out = _stacked_conv2d(weights, cols)
         if bias is not None:
             # Same broadcast add as the sequential ``bias.reshape(1, -1, 1)``.
             out = out + bias[:, None, :, None]

@@ -12,8 +12,7 @@ Crossbow system.  It provides:
 """
 
 from repro.tensor.tensor import Tensor, no_grad, is_grad_enabled
-from repro.tensor import backend
 from repro.tensor import functional
 from repro.tensor import init
 
-__all__ = ["Tensor", "no_grad", "is_grad_enabled", "backend", "functional", "init"]
+__all__ = ["Tensor", "no_grad", "is_grad_enabled", "functional", "init"]

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -276,6 +279,27 @@ class TestProcessExecution:
         trainer.close()
         trainer.close()
         assert 0.0 <= trainer.evaluate() <= 1.0
+
+
+@pytest.mark.parametrize("execution", ["serial", pytest.param("process", marks=needs_fork)])
+def test_closed_trainer_is_freed_without_cyclic_gc(execution):
+    """A dropped trainer is freed by reference counting alone.
+
+    A reference cycle through the trainer (say, a gradient source pointing
+    back at it) would keep its bank, update buffers and learners alive until
+    the cyclic collector happens to run.
+    """
+    gc.collect()
+    gc.disable()
+    try:
+        trainer = CrossbowTrainer(_config(execution, max_epochs=1))
+        trainer.train()
+        trainer.close()
+        alive = weakref.ref(trainer)
+        del trainer
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 def test_execution_knob_validated():

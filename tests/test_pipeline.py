@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import signal
+
 import numpy as np
 import pytest
 
@@ -106,19 +109,24 @@ class TestPipelinedExecution:
         assert extra["stale_iterations"] == extra["sync_iterations"] - 2  # 2 epochs
         assert extra["overlapped_sync_seconds"] > 0.0
 
-    def test_depth1_matches_stale_gradient_reference(self):
-        """Depth 1 must equal a hand-rolled one-iteration-stale SMA schedule.
+    @pytest.mark.parametrize("execution,depth", [("serial", 0), ("process", 0), ("process", 1)])
+    def test_depth1_matches_stale_gradient_reference(self, execution, depth):
+        """Every mode must equal a hand-rolled ``depth``-stale SMA schedule.
 
         The reference drives the *serial* trainer's own components: gradients
         for iteration ``t`` are computed on the weights as of iteration
-        ``t-1`` (``t=0`` runs fresh — the pipeline fill), the fused update is
-        applied to the weights of iteration ``t``, and every epoch drains.
-        Bit-equality here pins the publish/flip protocol's exact semantics:
-        same batch assignment, same decay association, same flip points.
+        ``t-depth`` (clamped at the epoch start — the pipeline fill), the
+        fused update is applied to the weights of iteration ``t``, and every
+        epoch drains.  Bit-equality here pins the driver's exact semantics:
+        same batch assignment, same decay association, same flip points.  The
+        cross-mode identity tests would pass if every mode shifted the same
+        way; this one would not.
         """
         epochs = 2
-        config = _config(pipeline_depth=1, max_epochs=epochs, weight_decay=1e-3)
-        pipelined = _final_state(config)
+        config = _config(
+            execution=execution, pipeline_depth=depth, max_epochs=epochs, weight_decay=1e-3
+        )
+        trained = _final_state(config)
 
         ref = CrossbowTrainer(
             _config(execution="serial", max_epochs=epochs, weight_decay=1e-3)
@@ -134,7 +142,7 @@ class TestPipelinedExecution:
             # history[j] = weights after j applied updates (this epoch)
             history = [bank.copy()]
             for t in range(iterations):
-                stale = history[max(t - 1, 0)]
+                stale = history[max(t - depth, 0)]
                 bank[...] = stale
                 for j in range(k):
                     ref.learners[j].compute_gradient(
@@ -148,38 +156,21 @@ class TestPipelinedExecution:
                 history.append(new)
             bank[...] = history[-1]
 
-        np.testing.assert_array_equal(pipelined["weights"], bank)
+        np.testing.assert_array_equal(trained["weights"], bank)
         np.testing.assert_array_equal(
-            pipelined["center"], np.asarray(ref.synchroniser.center)
+            trained["center"], np.asarray(ref.synchroniser.center)
         )
 
     def test_depth1_flush_on_midtraining_checkpoint(self):
         """central_model() mid-epoch must apply the in-flight update first."""
         trainer = CrossbowTrainer(_config(pipeline_depth=1, max_epochs=1))
         try:
-            executor = trainer._executor
             trainer._apply_schedule(0)
-            executor.begin_epoch(0)
-            # Run two pipelined iterations by hand; the second leaves a
-            # pending update and a flipped publish buffer.
-            for _ in range(2):
-                staleness = 1 if trainer._pending is not None else 0
-                update_index = trainer._next_update_index
-                executor.issue_step(
-                    trainer.learners, trainer._published_index, update_index
-                )
-                trainer._next_update_index = 1 - update_index
-                if trainer._pending is not None:
-                    trainer._apply_pending(overlapped=True)
-                losses = executor.collect_step()
-                from repro.engine.crossbow import _PendingIteration
-
-                trainer._pending = _PendingIteration(
-                    losses=losses,
-                    replicas=[learner.replica for learner in trainer.learners],
-                    update_index=update_index,
-                    staleness=staleness,
-                )
+            trainer._executor.begin_epoch(0)
+            # Two pipelined iterations: the second leaves a pending update
+            # and a flipped publish buffer.
+            trainer._iterate()
+            trainer._iterate()
             assert trainer._pending is not None
             version_before = trainer.synchroniser.version
             model = trainer.central_model()
@@ -204,10 +195,13 @@ class TestPipelinedExecution:
             assert np.isfinite(pending_losses).all()
             # Second step in flight; kill a worker while the parent would be
             # applying the first iteration's update into the back buffer.
+            # Freezing it first means it cannot report before it dies.
+            worker = executor._pool._handles[0].process
+            os.kill(worker.pid, signal.SIGSTOP)
             executor.issue_step(trainer.learners, 0, 1)
-            pool = executor._pool
-            pool._handles[0].process.terminate()
-            pool._handles[0].process.join(timeout=10.0)
+            worker.kill()
+            worker.join(timeout=10.0)
+            assert not worker.is_alive()
             with pytest.raises(SchedulingError, match="died without reporting"):
                 executor.collect_step()
         finally:

@@ -27,7 +27,7 @@ from repro.serve import (
     EvaluatorPool,
     InferenceServer,
 )
-from repro.serve.pool import _SLOT_EMPTY
+from repro.serve.pool import _SLOT_EMPTY, _stacked_conv2d
 from repro.utils.rng import RandomState
 
 needs_fork = pytest.mark.skipif(
@@ -433,6 +433,33 @@ class TestBatchedEvaluator:
                 BatchedEvaluator(_GatedLinear(), trainer.pipeline)
         finally:
             trainer.close()
+
+    @pytest.mark.parametrize("k", [1, 4, 16])
+    def test_stacked_conv_matches_per_model_einsum(self, k):
+        """The stacked conv equals the sequential layer's einsum, float for float.
+
+        Shared columns are what the evaluator emits before the first
+        parameterised op, per-model columns afterwards.
+        """
+        rng = np.random.default_rng(40 + k)
+        weights = rng.standard_normal((k, 4, 18)).astype(np.float32)
+        shared = rng.standard_normal((6, 18, 9)).astype(np.float32)
+        per_model = rng.standard_normal((k, 6, 18, 9)).astype(np.float32)
+        np.testing.assert_array_equal(
+            _stacked_conv2d(weights, shared),
+            np.stack(
+                [np.einsum("of,nfp->nop", weights[i], shared, optimize=True) for i in range(k)]
+            ),
+        )
+        np.testing.assert_array_equal(
+            _stacked_conv2d(weights, per_model),
+            np.stack(
+                [
+                    np.einsum("of,nfp->nop", weights[i], per_model[i], optimize=True)
+                    for i in range(k)
+                ]
+            ),
+        )
 
     def test_parameter_count_mismatch(self):
         trainer = CrossbowTrainer(_config(max_epochs=1))
